@@ -8,7 +8,8 @@
 //! * `FSA00x` — determinism (ambient RNG, wall-clock in charged crates,
 //!   unordered containers, float reductions)
 //! * `FSA02x` — panic safety (`unwrap`/`expect`/`panic!`/indexing)
-//! * `FSA04x` — concurrency (nested locks, guards across channel ops)
+//! * `FSA04x` — concurrency (nested locks, guards across channel ops, raw
+//!   sockets outside the transport module)
 //! * `FSA09x` — pragma hygiene (the suppression grammar policing itself)
 
 use std::fmt;
@@ -64,6 +65,10 @@ pub enum Code {
     NestedLock,
     /// FSA041: a channel send/recv while a lock guard is held.
     GuardAcrossChannel,
+    /// FSA042: a raw `TcpStream::connect` / `TcpListener::accept` outside
+    /// `crates/net/src/tcp.rs`, the one module that frames whole messages
+    /// into single writes and sets `TCP_NODELAY` on every socket.
+    RawSocket,
     /// FSA090: an `fsa::allow` pragma without a reason.
     PragmaMissingReason,
     /// FSA091: an `fsa::allow` pragma that suppressed nothing.
@@ -73,7 +78,7 @@ pub enum Code {
 }
 
 /// Every code, in stable order (fixture corpus and docs iterate this).
-pub const ALL_CODES: [Code; 13] = [
+pub const ALL_CODES: [Code; 14] = [
     Code::AmbientRng,
     Code::WallClock,
     Code::UnorderedContainer,
@@ -84,6 +89,7 @@ pub const ALL_CODES: [Code; 13] = [
     Code::SliceIndex,
     Code::NestedLock,
     Code::GuardAcrossChannel,
+    Code::RawSocket,
     Code::PragmaMissingReason,
     Code::UnusedPragma,
     Code::UnknownPragmaCode,
@@ -103,6 +109,7 @@ impl Code {
             Code::SliceIndex => "FSA023",
             Code::NestedLock => "FSA040",
             Code::GuardAcrossChannel => "FSA041",
+            Code::RawSocket => "FSA042",
             Code::PragmaMissingReason => "FSA090",
             Code::UnusedPragma => "FSA091",
             Code::UnknownPragmaCode => "FSA092",

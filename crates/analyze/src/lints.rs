@@ -63,6 +63,9 @@ pub fn analyze_source(src: &str, ctx: &FileContext) -> Vec<Finding> {
 
     scan_patterns(&code, &mut emit);
     scan_locks(&code, &mut emit);
+    if ctx.path != SOCKET_HOME {
+        scan_sockets(&code, &mut emit);
+    }
 
     // Pragma application + hygiene.
     let pragmas = collect_pragmas(&toks, &code_lines);
@@ -330,6 +333,48 @@ fn scan_patterns(code: &[&Tok], emit: &mut impl FnMut(Code, u32, String, Option<
                     Some("prefer .get()/.get_mut() with typed handling on runtime paths".into()),
                 );
             }
+        }
+    }
+}
+
+/// The one module allowed to open TCP sockets (FSA042).
+const SOCKET_HOME: &str = "crates/net/src/tcp.rs";
+
+/// FSA042: raw socket set-up outside [`SOCKET_HOME`]. Flags the path forms
+/// `TcpStream::connect[_timeout]` / `TcpListener::accept` and the
+/// zero-argument method call `.accept()` (a listener's; fs-net's own
+/// `PendingHub::accept` takes a client count).
+fn scan_sockets(code: &[&Tok], emit: &mut impl FnMut(Code, u32, String, Option<String>)) {
+    for i in 0..code.len() {
+        let t = code[i];
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let path_form = |ty: &str| {
+            is_ident(code, i.wrapping_sub(3), ty)
+                && is_punct(code, i.wrapping_sub(2), ":")
+                && is_punct(code, i.wrapping_sub(1), ":")
+        };
+        let raw = match t.text.as_str() {
+            "connect" | "connect_timeout" => path_form("TcpStream"),
+            "accept" => {
+                path_form("TcpListener")
+                    || (is_punct(code, i.wrapping_sub(1), ".")
+                        && is_punct(code, i + 1, "(")
+                        && is_punct(code, i + 2, ")"))
+            }
+            _ => false,
+        };
+        if raw {
+            emit(
+                Code::RawSocket,
+                t.line,
+                format!("raw socket `{}` outside fs-net's TCP transport", t.text),
+                Some(
+                    "use fs_net::tcp (TcpHub/TcpPeer/ResilientPeer): one write per frame, TCP_NODELAY set"
+                        .into(),
+                ),
+            );
         }
     }
 }

@@ -74,6 +74,9 @@ pub fn grade(code: Code, tier: Tier, charged: bool, in_test: bool) -> Option<Sev
         },
         Code::SliceIndex => (tier == Tier::Runtime && !in_test).then_some(Severity::Note),
         Code::NestedLock | Code::GuardAcrossChannel => (!in_test).then_some(Severity::Warning),
+        // CLI binaries and tests may open throwaway sockets; a transport in
+        // a runtime or library crate must go through fs-net's TCP module.
+        Code::RawSocket => (tier != Tier::Bench && !in_test).then_some(Severity::Warning),
         // Pragma hygiene always gates: a stale suppression is debt.
         Code::PragmaMissingReason | Code::UnusedPragma | Code::UnknownPragmaCode => {
             Some(Severity::Warning)

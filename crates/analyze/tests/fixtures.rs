@@ -151,6 +151,30 @@ fn fsa041_guard_across_channel() {
 }
 
 #[test]
+fn fsa042_raw_socket() {
+    // `pending.accept(2)` (line 19) and the #[cfg(test)] connect (line 25)
+    // are not findings
+    let want = vec![
+        (Code::RawSocket, 5, Severity::Warning),
+        (Code::RawSocket, 9, Severity::Warning),
+        (Code::RawSocket, 14, Severity::Warning),
+    ];
+    assert_eq!(triples("fsa042_raw_socket.rs", &runtime()), want);
+    assert_eq!(
+        triples("fsa042_raw_socket.rs", &ctx(Tier::Library, false)),
+        want
+    );
+    assert_eq!(
+        triples("fsa042_raw_socket.rs", &ctx(Tier::Bench, false)),
+        vec![]
+    );
+    // the transport module itself is where sockets belong
+    let mut home = runtime();
+    home.path = "crates/net/src/tcp.rs".into();
+    assert_eq!(triples("fsa042_raw_socket.rs", &home), vec![]);
+}
+
+#[test]
 fn fsa090_pragma_missing_reason() {
     // the pragma still suppresses the unwrap on line 4; the hygiene finding
     // lands on the pragma's own line
@@ -208,6 +232,7 @@ fn every_code_is_reproduced_by_the_corpus() {
         "fsa023_index.rs",
         "fsa040_nested_lock.rs",
         "fsa041_guard_across_channel.rs",
+        "fsa042_raw_socket.rs",
         "fsa090_missing_reason.rs",
         "fsa091_unused_pragma.rs",
         "fsa092_unknown_code.rs",

@@ -9,6 +9,21 @@
 //! length followed by the [`crate::wire`]-encoded message — so any process
 //! speaking the neutral format can join a course.
 //!
+//! # Framing
+//!
+//! Each frame is built in one buffer — length prefix reserved, message
+//! encoded behind it, prefix patched in — and handed to the socket in a
+//! single `write_all`, and every socket (hub-accepted and client-connected)
+//! sets `TCP_NODELAY`. The two go together: with the prefix and body as
+//! separate writes, Nagle's algorithm holds the body back until the peer's
+//! delayed ACK for the 4-byte prefix arrives (tens of milliseconds per
+//! frame on Linux loopback), so every round of a course waits on a kernel
+//! timer. With one write per frame there is nothing left for Nagle to
+//! coalesce, so it is switched off unconditionally. On the receive side each
+//! connection keeps one body buffer and reuses its capacity across frames;
+//! the [`MAX_FRAME_BYTES`] check runs before any resize, so a hostile length
+//! prefix cannot make the reader allocate.
+//!
 //! # Fault tolerance
 //!
 //! The hub is built for unreliable clients:
@@ -21,7 +36,9 @@
 //! * **Liveness.** Reader threads run with a read deadline
 //!   (`set_read_timeout`); a dead connection surfaces as
 //!   [`HubEvent::Disconnected`] on the incoming queue instead of a silently
-//!   dying thread.
+//!   dying thread. Dropping the hub shuts every registered stream down, so
+//!   its reader threads exit on EOF at once rather than at their next
+//!   deadline tick (and stop competing for cores with the next course).
 //! * **Rejoin.** The hub keeps accepting connections for its whole lifetime.
 //!   A reconnecting client re-identifies itself with a
 //!   [`MessageKind::Rejoin`] handshake; the hub swaps in the new write half,
@@ -30,7 +47,8 @@
 
 use crate::fault::{FaultAction, FaultState, SendOutcome};
 use crate::message::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
-use crate::wire::{decode_message, encode_message, CodecError};
+use crate::wire::{decode_message, put_message, CodecError};
+use bytes::{BufMut, BytesMut};
 use fs_monitor::{counters, MonitorHandle};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -90,26 +108,29 @@ impl From<CodecError> for TcpError {
 /// Upper bound on a single frame (a model of ~16M f32 parameters).
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// Writes one length-prefixed wire frame.
-pub fn write_frame(stream: &mut TcpStream, msg: &Message) -> Result<(), TcpError> {
+/// Writes one length-prefixed wire frame with a single `write_all`.
+pub fn write_frame<W: Write>(stream: &mut W, msg: &Message) -> Result<(), TcpError> {
     write_frame_monitored(stream, msg, &MonitorHandle::null())
 }
 
 /// [`write_frame`], counting the real bytes put on the socket (4-byte length
 /// prefix + encoded frame) into the monitor's `wire.*` counters.
-pub fn write_frame_monitored(
-    stream: &mut TcpStream,
+pub fn write_frame_monitored<W: Write>(
+    stream: &mut W,
     msg: &Message,
     monitor: &MonitorHandle,
 ) -> Result<(), TcpError> {
-    let bytes = encode_message(msg);
-    let len = bytes.len() as u32;
+    let mut frame = BytesMut::with_capacity(4 + msg.wire_bytes());
+    frame.put_u32_le(0); // length placeholder, patched below
+    put_message(&mut frame, msg);
+    let len = u32::try_from(frame.len() - 4).unwrap_or(u32::MAX);
     if len > MAX_FRAME_BYTES {
         return Err(TcpError::FrameTooLarge(len));
     }
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(&bytes)?;
-    stream.flush()?;
+    if let Some(prefix) = frame.get_mut(..4) {
+        prefix.copy_from_slice(&len.to_le_bytes());
+    }
+    stream.write_all(&frame)?;
     monitor.add(counters::WIRE_FRAMES_OUT, 1);
     monitor.add(counters::WIRE_BYTES_OUT, 4 + u64::from(len));
     Ok(())
@@ -126,15 +147,28 @@ pub fn read_frame_monitored(
     stream: &mut TcpStream,
     monitor: &MonitorHandle,
 ) -> Result<Message, TcpError> {
+    read_frame_into(stream, &mut Vec::new(), monitor)
+}
+
+/// Reads one frame, using `body` as the receive buffer: its capacity is
+/// reused across calls, and grows only after the length prefix has passed
+/// the [`MAX_FRAME_BYTES`] check.
+fn read_frame_into(
+    stream: &mut impl Read,
+    body: &mut Vec<u8>,
+    monitor: &MonitorHandle,
+) -> Result<Message, TcpError> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME_BYTES {
         return Err(TcpError::FrameTooLarge(len));
     }
-    let mut buf = vec![0u8; len as usize];
-    stream.read_exact(&mut buf)?;
-    let msg = decode_message(&buf)?;
+    // no clear(): the bytes kept are overwritten by read_exact, so only a
+    // grown tail is zero-filled
+    body.resize(len as usize, 0);
+    stream.read_exact(body)?;
+    let msg = decode_message(body)?;
     monitor.add(counters::WIRE_FRAMES_IN, 1);
     monitor.add(counters::WIRE_BYTES_IN, 4 + u64::from(len));
     Ok(msg)
@@ -146,7 +180,8 @@ pub fn read_frame_monitored(
 /// deadline halfway through a frame and desynchronize the stream. This
 /// reader accumulates partial header/body bytes across deadline ticks:
 /// [`FrameReader::poll`] returns `Ok(None)` on a tick with no complete frame
-/// and never loses position.
+/// and never loses position. `body` is the connection's receive buffer; its
+/// capacity is reused from frame to frame.
 #[derive(Default)]
 struct FrameReader {
     header: [u8; 4],
@@ -165,7 +200,7 @@ fn is_deadline(e: &io::Error) -> bool {
 impl FrameReader {
     fn poll(
         &mut self,
-        stream: &mut TcpStream,
+        stream: &mut impl Read,
         monitor: &MonitorHandle,
     ) -> Result<Option<Message>, TcpError> {
         loop {
@@ -179,7 +214,7 @@ impl FrameReader {
                             if len > MAX_FRAME_BYTES {
                                 return Err(TcpError::FrameTooLarge(len));
                             }
-                            self.body = vec![0u8; len as usize];
+                            self.body.resize(len as usize, 0);
                             self.body_have = 0;
                         }
                     }
@@ -198,7 +233,6 @@ impl FrameReader {
                 monitor.add(counters::WIRE_FRAMES_IN, 1);
                 monitor.add(counters::WIRE_BYTES_IN, 4 + self.body.len() as u64);
                 self.header_have = 0;
-                self.body = Vec::new();
                 self.body_have = 0;
                 return Ok(Some(msg));
             }
@@ -374,7 +408,9 @@ impl TcpHub {
                 }
                 match listener.accept() {
                     Ok((stream, _peer)) => {
-                        if stream.set_read_timeout(Some(read_timeout)).is_err() {
+                        if stream.set_read_timeout(Some(read_timeout)).is_err()
+                            || stream.set_nodelay(true).is_err()
+                        {
                             continue;
                         }
                         let _ = stream.set_nonblocking(false);
@@ -549,22 +585,33 @@ impl TcpHub {
 }
 
 impl Drop for TcpHub {
+    /// Raises the shutdown flag and shuts every registered connection down,
+    /// so reader threads exit on EOF now rather than at their next deadline
+    /// tick, and blocked peers see the hub go away.
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
+        for conn in lock(&self.shared.streams).values() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
 /// Client side: one plain connection to the hub.
 pub struct TcpPeer {
     stream: TcpStream,
+    /// Receive buffer reused across [`TcpPeer::recv`] calls.
+    body: Vec<u8>,
     monitor: MonitorHandle,
 }
 
 impl TcpPeer {
-    /// Connects to a hub.
+    /// Connects to a hub (with `TCP_NODELAY` set).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<TcpPeer, TcpError> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(TcpPeer {
-            stream: TcpStream::connect(addr)?,
+            stream,
+            body: Vec::new(),
             monitor: MonitorHandle::null(),
         })
     }
@@ -581,7 +628,7 @@ impl TcpPeer {
 
     /// Blocks for the next message from the hub.
     pub fn recv(&mut self) -> Result<Message, TcpError> {
-        read_frame_monitored(&mut self.stream, &self.monitor)
+        read_frame_into(&mut self.stream, &mut self.body, &self.monitor)
     }
 
     /// Tears the connection down immediately (both directions).
@@ -832,13 +879,19 @@ mod tests {
         let pending = TcpHub::bind("127.0.0.1:0").unwrap();
         let addr = pending.local_addr().unwrap();
         let mut handles = Vec::new();
+        let mut release = Vec::new();
         for id in [1u32, 2] {
+            // each peer stays connected until the roster has been checked;
+            // closing right after the reply would deregister it first
+            let (done_tx, done_rx) = channel::<()>();
+            release.push(done_tx);
             handles.push(std::thread::spawn(move || {
                 let mut peer = TcpPeer::connect(addr).unwrap();
                 peer.send(&join_msg(id)).unwrap();
                 let reply = peer.recv().unwrap();
                 assert_eq!(reply.kind, MessageKind::IdAssignment);
                 assert_eq!(reply.receiver, id);
+                let _ = done_rx.recv();
             }));
         }
         let hub = pending.accept(2).unwrap();
@@ -851,6 +904,7 @@ mod tests {
             hub.send(&id_msg(id)).unwrap();
         }
         assert_eq!(hub.connected().len(), 2);
+        drop(release);
         for h in handles {
             h.join().unwrap();
         }
@@ -1037,6 +1091,194 @@ mod tests {
         match read_frame(&mut client) {
             Err(TcpError::FrameTooLarge(_)) => {}
             other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_per_frame() {
+        let mut p = ParamMap::new();
+        p.insert("w", Tensor::from_vec(vec![4], vec![0.5, -1.0, 2.0, 8.0]));
+        let msgs = [
+            join_msg(3),
+            Message::new(
+                SERVER_ID,
+                3,
+                MessageKind::ModelParams,
+                2,
+                Payload::Model {
+                    params: p,
+                    version: 2,
+                },
+            ),
+        ];
+        let mut w = CountingWriter::default();
+        for (n, msg) in msgs.iter().enumerate() {
+            write_frame(&mut w, msg).unwrap();
+            assert_eq!(w.writes, n + 1, "frame {n} took more than one write");
+        }
+        // the single write is the whole frame: prefix + exact encoding
+        let expected: usize = msgs.iter().map(|m| 4 + m.wire_bytes()).sum();
+        assert_eq!(w.bytes.len(), expected);
+        let mut src = &w.bytes[..];
+        let mut body = Vec::new();
+        for msg in &msgs {
+            let got = read_frame_into(&mut src, &mut body, &MonitorHandle::null()).unwrap();
+            assert_eq!(&got, msg);
+        }
+        assert!(src.is_empty());
+    }
+
+    #[test]
+    fn every_transport_socket_sets_nodelay() {
+        let pending = TcpHub::bind("127.0.0.1:0").unwrap();
+        let addr = pending.local_addr().unwrap();
+        let (done_tx, done_rx) = channel::<()>();
+        let client = std::thread::spawn(move || {
+            let mut plain = TcpPeer::connect(addr).unwrap();
+            assert!(plain.stream.nodelay().unwrap(), "TcpPeer without NODELAY");
+            plain.send(&join_msg(1)).unwrap();
+
+            let mut peer = ResilientPeer::connect(addr, 2)
+                .unwrap()
+                .with_reconnect(ReconnectPolicy::default())
+                .with_faults(
+                    FaultPlan::new(5)
+                        .with(2, FaultSpec::dies_after(1))
+                        .state_for(2),
+                );
+            assert_eq!(peer.send(&join_msg(2)).unwrap(), SendOutcome::Sent);
+            assert_eq!(peer.send(&join_msg(2)).unwrap(), SendOutcome::Disconnected);
+            // reconnect through the policy (what the next send/recv does)
+            let fresh = peer.ensure_connected().unwrap();
+            assert!(
+                fresh.stream.nodelay().unwrap(),
+                "reconnected link without NODELAY"
+            );
+            assert_eq!(peer.reconnects(), 1);
+            let _ = done_rx.recv();
+        });
+        let hub = pending.accept_within(2, Duration::from_secs(10)).unwrap();
+        let mut rejoined = false;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline && !rejoined {
+            if let Some(HubEvent::Rejoined(2)) =
+                hub.recv_event_timeout(Duration::from_millis(100)).unwrap()
+            {
+                rejoined = true;
+            }
+        }
+        assert!(rejoined, "rejoin handshake never surfaced");
+        {
+            let streams = lock(&hub.shared.streams);
+            assert_eq!(streams.len(), 2);
+            for (id, conn) in streams.iter() {
+                assert!(
+                    conn.stream.nodelay().unwrap(),
+                    "hub-accepted socket of {id} without NODELAY"
+                );
+            }
+        }
+        drop(done_tx);
+        client.join().unwrap();
+    }
+
+    #[test]
+    fn frame_reader_rejects_oversized_prefix_before_allocating() {
+        let claimed = MAX_FRAME_BYTES + 1;
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &join_msg(7)).unwrap();
+        bytes.extend_from_slice(&claimed.to_le_bytes());
+        let mut src = &bytes[..];
+        let mut frames = FrameReader::default();
+        let monitor = MonitorHandle::null();
+        assert!(matches!(frames.poll(&mut src, &monitor), Ok(Some(_))));
+        match frames.poll(&mut src, &monitor) {
+            Err(TcpError::FrameTooLarge(n)) => assert_eq!(n, claimed),
+            other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+        assert!(
+            frames.body.capacity() < claimed as usize,
+            "buffer grew to {} bytes for a rejected prefix",
+            frames.body.capacity()
+        );
+    }
+
+    #[test]
+    fn oversized_prefix_tears_hub_connection_down() {
+        let pending = TcpHub::bind("127.0.0.1:0").unwrap();
+        let addr = pending.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut peer = TcpPeer::connect(addr).unwrap();
+            peer.send(&join_msg(6)).unwrap();
+            peer.stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
+            // hang guard only: the hub's teardown is what ends this read
+            peer.stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut byte = [0u8; 1];
+            match peer.stream.read(&mut byte) {
+                Ok(0) => {}
+                Ok(n) => panic!("hub sent {n} unexpected bytes"),
+                Err(e) => assert!(!is_deadline(&e), "hub never closed: {e}"),
+            }
+        });
+        let hub = pending.accept(1).unwrap();
+        let mut saw_disconnect = false;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline && !saw_disconnect {
+            match hub.recv_event_timeout(Duration::from_millis(100)).unwrap() {
+                Some(HubEvent::Disconnected(6)) => saw_disconnect = true,
+                Some(HubEvent::Message(m)) if m.kind == MessageKind::JoinIn => {}
+                Some(other) => panic!("unexpected event {other:?}"),
+                None => {}
+            }
+        }
+        assert!(saw_disconnect, "oversized prefix did not drop the link");
+        assert!(hub.connected().is_empty());
+        client.join().unwrap();
+    }
+
+    #[test]
+    fn dropping_hub_unblocks_peer_recv() {
+        // a long liveness tick: only the drop-time shutdown can end the
+        // peer's read before its hang guard
+        let pending = TcpHub::bind("127.0.0.1:0")
+            .unwrap()
+            .with_read_timeout(Duration::from_secs(30));
+        let addr = pending.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut peer = TcpPeer::connect(addr).unwrap();
+            peer.stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            peer.send(&join_msg(8)).unwrap();
+            peer.recv()
+        });
+        let hub = pending.accept(1).unwrap();
+        assert_eq!(hub.recv().unwrap().sender, 8);
+        drop(hub);
+        match client.join().unwrap() {
+            Err(TcpError::Io(e)) => assert!(!is_deadline(&e), "recv hit its hang guard: {e}"),
+            other => panic!("expected an io error after hub drop, got {other:?}"),
         }
     }
 }

@@ -185,6 +185,13 @@ fn le_f32s(raw: &[u8]) -> impl Iterator<Item = f32> + '_ {
 /// Encodes a whole [`Message`] (header + payload) for transport.
 pub fn encode_message(msg: &Message) -> Bytes {
     let mut buf = BytesMut::with_capacity(msg.payload_bytes() + 64);
+    put_message(&mut buf, msg);
+    buf.freeze()
+}
+
+/// Appends `msg`'s encoding to `buf` (the transport builds a whole frame,
+/// length prefix included, in one buffer this way).
+pub(crate) fn put_message(buf: &mut BytesMut, msg: &Message) {
     buf.put_u32_le(msg.sender);
     buf.put_u32_le(msg.receiver);
     buf.put_u16_le(msg.kind.tag());
@@ -195,7 +202,7 @@ pub fn encode_message(msg: &Message) -> Bytes {
         Payload::Model { params, version } => {
             buf.put_u8(1);
             buf.put_u64_le(*version);
-            put_params(&mut buf, params);
+            put_params(buf, params);
         }
         Payload::Update {
             params,
@@ -207,7 +214,7 @@ pub fn encode_message(msg: &Message) -> Bytes {
             buf.put_u64_le(*start_version);
             buf.put_u64_le(*n_samples);
             buf.put_u64_le(*n_steps);
-            put_params(&mut buf, params);
+            put_params(buf, params);
         }
         Payload::Report { metrics } => {
             buf.put_u8(3);
@@ -223,7 +230,7 @@ pub fn encode_message(msg: &Message) -> Bytes {
         Payload::CompressedModel { block, version } => {
             buf.put_u8(5);
             buf.put_u64_le(*version);
-            put_block(&mut buf, block);
+            put_block(buf, block);
         }
         Payload::CompressedUpdate {
             block,
@@ -235,7 +242,7 @@ pub fn encode_message(msg: &Message) -> Bytes {
             buf.put_u64_le(*start_version);
             buf.put_u64_le(*n_samples);
             buf.put_u64_le(*n_steps);
-            put_block(&mut buf, block);
+            put_block(buf, block);
         }
         Payload::PartialUpdate {
             params,
@@ -248,8 +255,8 @@ pub fn encode_message(msg: &Message) -> Bytes {
             buf.put_u64_le(*start_version);
             buf.put_u64_le(*n_samples);
             buf.put_u64_le(*n_steps);
-            put_constituents(&mut buf, constituents);
-            put_params(&mut buf, params);
+            put_constituents(buf, constituents);
+            put_params(buf, params);
         }
         Payload::CompressedPartialUpdate {
             block,
@@ -262,11 +269,10 @@ pub fn encode_message(msg: &Message) -> Bytes {
             buf.put_u64_le(*start_version);
             buf.put_u64_le(*n_samples);
             buf.put_u64_le(*n_steps);
-            put_constituents(&mut buf, constituents);
-            put_block(&mut buf, block);
+            put_constituents(buf, constituents);
+            put_block(buf, block);
         }
     }
-    buf.freeze()
 }
 
 fn put_constituents(buf: &mut BytesMut, ids: &[u32]) {

@@ -239,8 +239,16 @@ fn rogue_peer_garbage_surfaces_as_codec_error() {
     });
     let runner = course(3, 28);
     let clients: Vec<_> = runner.clients.into_values().collect();
+    // the rogue connects and writes within milliseconds of the hub binding;
+    // a fixed send delay on every honest frame (joins included) keeps the
+    // course running for seconds, so it cannot finish before the garbage
+    // frame is read, however fast the transport is
     let opts = TcpRunOptions {
         addr: Some(addr),
+        faults: Some(FaultPlan::new(28).with_default(FaultSpec {
+            delay_ms: 400,
+            ..FaultSpec::healthy()
+        })),
         ..Default::default()
     };
     let Err(err) = run_distributed_tcp_with(runner.server, clients, Duration::from_secs(30), opts)
